@@ -120,6 +120,9 @@ func (p *Problem) fiberClosure() [][]float64 {
 	return d
 }
 
+// floydWarshall closes d in place into its all-pairs shortest-path matrix,
+// O(n³). buildFlowLP's pruning metric is its production caller; the tests
+// use it as the from-scratch APSP oracle.
 func floydWarshall(d [][]float64) {
 	n := len(d)
 	for k := 0; k < n; k++ {

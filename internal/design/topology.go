@@ -20,6 +20,12 @@ const (
 	closureGrain = 16 // Dijkstra sources per fiberClosure fan-out
 )
 
+// slackRel scales Topology.slack. Rounding in the float APSP matrix breaks
+// the triangle inequality by a few ulps per hop, around 1e-16 relative;
+// 1e-9 leaves orders of magnitude of headroom while gainOf still skips
+// most source rows.
+const slackRel = 1e-9
+
 // Link is one built microwave city-city link.
 type Link struct {
 	I, J int
@@ -38,6 +44,10 @@ type Topology struct {
 	fiberD [][]float64 // fiber-only metric closure (for pruning/baselines)
 	cost   float64
 
+	// slack is gainOf's rounding margin for the triangle inequality:
+	// slackRel × the largest finite fiber-closure distance.
+	slack float64
+
 	// built holds the normalized (i<j) pairs of Built for O(1) HasLink.
 	// It is materialized from Built on the first query (sync.Once, so
 	// concurrent first reads are safe) rather than maintained eagerly:
@@ -51,16 +61,22 @@ type Topology struct {
 func NewTopology(p *Problem) *Topology {
 	fd := p.fiberClosure()
 	d := make([][]float64, p.N)
+	maxD := 0.0
 	for i := range d {
 		d[i] = make([]float64, p.N)
 		copy(d[i], fd[i])
+		for _, v := range fd[i] {
+			if v > maxD && !math.IsInf(v, 1) {
+				maxD = v
+			}
+		}
 	}
-	return &Topology{P: p, d: d, fiberD: fd}
+	return &Topology{P: p, d: d, fiberD: fd, slack: slackRel * maxD}
 }
 
 // Clone returns an independent copy of the topology.
 func (t *Topology) Clone() *Topology {
-	c := &Topology{P: t.P, fiberD: t.fiberD, cost: t.cost}
+	c := &Topology{P: t.P, fiberD: t.fiberD, cost: t.cost, slack: t.slack}
 	c.Built = append([]Link(nil), t.Built...)
 	c.d = make([][]float64, len(t.d))
 	for i := range t.d {
@@ -204,23 +220,42 @@ func (t *Topology) objective() float64 {
 }
 
 // gainOf returns the objective decrease from adding link (i,j) to the
-// current topology, in O(n²), without mutating state.
+// current topology, in O(n²) at worst, without mutating state.
+//
+// A source row s is skipped outright when ds[i]+w ≥ ds[j]+slack and
+// ds[j]+w ≥ ds[i]+slack: the triangle inequality then gives
+// ds[i]+w+dj[u] ≥ ds[j]+dj[u] ≥ ds[u] for every u, and symmetrically
+// through i, so no pair in the row can improve. The slack covers the
+// rounding by which the float APSP matrix breaks the triangle inequality;
+// with it the skip is exact and the gain is bit-identical to the full scan
+// (TestGainOfMatchesReference). The scanned rows keep that scan's sum
+// order: (ds[i]+w)+dj[u] left to right, pairs in increasing u.
 func (t *Topology) gainOf(i, j int) float64 {
 	p := t.P
+	n := p.N
 	w := p.MW[i][j]
-	gain := 0.0
 	d := t.d
-	for s := 0; s < p.N; s++ {
-		dsi, dsj := d[s][i], d[s][j]
-		for u := s + 1; u < p.N; u++ {
-			h := p.Traffic[s][u]
+	di, dj := d[i][:n], d[j][:n]
+	gain := 0.0
+	for s := 0; s < n; s++ {
+		ds := d[s][:n]
+		dsi, dsj := ds[i], ds[j]
+		viaI, viaJ := dsi+w, dsj+w // s→i→j and s→j→i, before the tail
+		if viaI >= dsj+t.slack && viaJ >= dsi+t.slack {
+			continue
+		}
+		hs, gs := p.Traffic[s][:n], p.Geodesic[s][:n]
+		for u := s + 1; u < n; u++ {
+			h := hs[u]
 			if h == 0 {
 				continue
 			}
-			cur := d[s][u]
-			alt := math.Min(dsi+w+d[j][u], dsj+w+d[i][u])
-			if alt < cur {
-				gain += h * (cur - alt) / p.Geodesic[s][u]
+			alt := viaI + dj[u]
+			if b := viaJ + di[u]; b < alt {
+				alt = b
+			}
+			if cur := ds[u]; alt < cur {
+				gain += h * (cur - alt) / gs[u]
 			}
 		}
 	}

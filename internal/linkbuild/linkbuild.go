@@ -11,6 +11,7 @@
 package linkbuild
 
 import (
+	"fmt"
 	"math"
 
 	"cisp/internal/cities"
@@ -42,7 +43,7 @@ type Links struct {
 
 	g            *graph.Graph[units.Meters]
 	dist         [][]units.Meters // city-city MW latency distance (+Inf if no MW path)
-	prev         [][]int          // per-source-city Dijkstra tree over the full graph
+	prev         [][]int32        // per-source-city Dijkstra tree over the full graph
 	feasibleHops int
 }
 
@@ -84,15 +85,25 @@ func Build(cs []cities.City, reg *towers.Registry, ev *los.Evaluator, cfg Config
 	}
 
 	// All-pairs shortest microwave links: one Dijkstra per city, each city
-	// owning its own row, fanned out on the pool.
+	// owning its own row, fanned out on the pool. Only the city columns of
+	// the distance array are kept, copied so the n+T-entry array is freed,
+	// and the tree is narrowed to int32: a Links outlives its Build by the
+	// life of the scenario.
+	if n+T > math.MaxInt32 {
+		panic(fmt.Sprintf("linkbuild: %d cities + %d towers overflow int32 tree indices", n, T))
+	}
 	l := &Links{Cities: cs, Reg: reg, g: g, feasibleHops: hops}
 	l.dist = make([][]units.Meters, n)
-	l.prev = make([][]int, n)
+	l.prev = make([][]int32, n)
 	parallel.For(n, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			d, p := g.Dijkstra(i)
-			l.dist[i] = d[:n:n]
-			l.prev[i] = p
+			l.dist[i] = append([]units.Meters(nil), d[:n]...)
+			prev := make([]int32, len(p))
+			for v, u := range p {
+				prev[v] = int32(u)
+			}
+			l.prev[i] = prev
 		}
 	})
 	// Mirror for exact symmetry.
@@ -129,7 +140,7 @@ func (l *Links) Path(i, j int) []int {
 		return nil
 	}
 	var rev []int
-	for v := j; v != -1; v = l.prev[i][v] {
+	for v := j; v != -1; v = int(l.prev[i][v]) {
 		rev = append(rev, v)
 		if v == i {
 			break

@@ -1,7 +1,10 @@
 package linkbuild
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -18,24 +21,31 @@ var scenarioOnce struct {
 	l  *Links
 }
 
-// smallScenario builds (once per test binary) a reduced-scale Midwest
-// scenario that is quick enough for unit tests but still exercises real
-// tower routing.
+// midwestInputs returns the inputs of a reduced-scale Midwest scenario
+// that is quick enough for unit tests but still exercises real tower
+// routing.
+func midwestInputs(t testing.TB) ([]cities.City, *towers.Registry, *los.Evaluator) {
+	t.Helper()
+	all := cities.USCenters()
+	names := []string{"Chicago, IL", "Indianapolis, IN", "St. Louis, MO", "Columbus, OH", "Detroit, MI", "Milwaukee, WI"}
+	var cs []cities.City
+	for _, name := range names {
+		c, ok := cities.ByName(all, name)
+		if !ok {
+			t.Fatalf("city %s missing", name)
+		}
+		cs = append(cs, c)
+	}
+	reg := towers.Generate(towers.GenConfig{Seed: 21, RuralPerCell: 2.5, CityTowerScale: 15}, cs)
+	ev := los.NewEvaluator(terrain.ContiguousUS(7), los.DefaultParams())
+	return cs, reg, ev
+}
+
+// smallScenario builds the Midwest scenario's links once per test binary.
 func smallScenario(t testing.TB) ([]cities.City, *Links) {
 	t.Helper()
 	scenarioOnce.Do(func() {
-		all := cities.USCenters()
-		names := []string{"Chicago, IL", "Indianapolis, IN", "St. Louis, MO", "Columbus, OH", "Detroit, MI", "Milwaukee, WI"}
-		var cs []cities.City
-		for _, name := range names {
-			c, ok := cities.ByName(all, name)
-			if !ok {
-				t.Fatalf("city %s missing", name)
-			}
-			cs = append(cs, c)
-		}
-		reg := towers.Generate(towers.GenConfig{Seed: 21, RuralPerCell: 2.5, CityTowerScale: 15}, cs)
-		ev := los.NewEvaluator(terrain.ContiguousUS(7), los.DefaultParams())
+		cs, reg, ev := midwestInputs(t)
 		scenarioOnce.cs = cs
 		scenarioOnce.l = Build(cs, reg, ev, Config{})
 	})
@@ -209,3 +219,55 @@ func TestNoMWPathIsInf(t *testing.T) {
 		t.Fatal("expected nil path")
 	}
 }
+
+// TestBuildRetention: the Links a Build leaves behind hold only what the
+// accessors read — n×n city distances, an int32 Dijkstra tree per city and
+// the hop graph — not the n+T-entry distance arrays of the per-city
+// Dijkstras. The heap retained after a GC stays under a bound computed from
+// that layout; the distance and tree tables alone, measured by dropping
+// them, stay under their exact layout plus size-class rounding, which the
+// old rows (pinned n+T-entry distance arrays, int trees) exceed threefold.
+// The path outputs match the digest recorded when the tree was []int rows.
+func TestBuildRetention(t *testing.T) {
+	cs, reg, ev := midwestInputs(t)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	l := Build(cs, reg, ev, Config{})
+	withTables := heap()
+
+	n, T, hops := int64(len(cs)), int64(reg.Len()), int64(l.FeasibleHops())
+	gateways := int64(l.Graph().Edges()) - hops
+	const sliceHeader, halfEdge = 24, 16
+	tables := n*(sliceHeader+8*n) + // dist
+		n*(sliceHeader+4*(n+T)) // prev
+	adjacency := (n+T)*sliceHeader + 2*(hops+gateways)*halfEdge*2 // append slack ≤ 2×
+	rounding := func(b int64) int64 { return b + b/4 }            // size classes
+	if got, bound := withTables-base, rounding(tables+adjacency)+16<<10; got > bound {
+		t.Errorf("Build retains %d B, bound %d B (n=%d T=%d hops=%d)", got, bound, n, T, hops)
+	}
+
+	h := fnv.New64a()
+	for i := 0; i < len(cs); i++ {
+		for j := 0; j < len(cs); j++ {
+			fmt.Fprintln(h, i, j, l.Path(i, j), l.TowerPath(i, j), l.TowerCount(i, j), l.Hops(i, j))
+		}
+	}
+	if got := h.Sum64(); got != midwestPathDigest {
+		t.Errorf("path outputs digest %#x, want %#x", got, midwestPathDigest)
+	}
+
+	l.dist, l.prev = nil, nil
+	if got, bound := withTables-heap(), rounding(tables); got > bound {
+		t.Errorf("distance and tree tables retain %d B, bound %d B (n=%d T=%d)", got, bound, n, T)
+	}
+	runtime.KeepAlive(l)
+}
+
+// midwestPathDigest is the FNV-64a digest of every Path, TowerPath,
+// TowerCount and Hops output on the Midwest scenario.
+const midwestPathDigest = 0x17efb0665c8d3458
