@@ -1,0 +1,49 @@
+package ctlplane
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"sort"
+	"testing"
+
+	"cisp/internal/cities"
+)
+
+// TestStormSnapshotGolden pins the bytes of every snapshot a 40-site
+// daemon publishes while it absorbs the seed-1, 3-day DrawStream storm,
+// batched by event time. Hard failures drive TE re-enumeration over
+// downed links and FRR rescues, so this is the end-to-end golden of the
+// control plane's path choices.
+func TestStormSnapshotGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("40-site storm golden: skipped with -short")
+	}
+	const want = "886765e19d85d357f16bcf0017b3b1d5b1677ce8273a10268d342ac4c341049a"
+	cs := cities.USCenters()
+	sort.SliceStable(cs, func(i, j int) bool { return cs[i].Population > cs[j].Population })
+	b := SyntheticBackbone(cs[:40], 2, 10, 40)
+	evs := DrawStream(b, StreamConfig{Seed: 1, Horizon: 3 * 86400})
+	h := sha256.New()
+	snaps := 0
+	d, err := New(Config{Backbone: b, Comms: GravityCommodities(b.Sites, 50), OnPublish: func(s *Snapshot) {
+		h.Write(s.JSON())
+		snaps++
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for i := 0; i < len(evs); {
+		var batch []Event
+		at := evs[i].At
+		for ; i < len(evs) && evs[i].At == at; i++ {
+			batch = append(batch, evs[i].Ev)
+		}
+		if _, err := d.Apply(batch); err != nil {
+			t.Fatalf("batch at %v: %v", at, err)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("storm snapshot digest %s over %d snapshots from %d events, want %s", got, snaps, len(evs), want)
+	}
+}
