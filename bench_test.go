@@ -202,7 +202,7 @@ func BenchmarkWeatherYearPoolWidth(b *testing.B) {
 			var p99 float64
 			for i := 0; i < b.N; i++ {
 				an := weather.AnalyzeYear(top, s.Links, gen, weather.Config{Days: 120, Seed: 2})
-				p99 = weather.Median(an.P99)
+				p99 = netsim.Percentile(an.P99, 50)
 			}
 			b.ReportMetric(p99, "p99-stretch")
 		})

@@ -102,14 +102,14 @@ func Fig7WeatherExt(opt Options, cfg Fig7Config) *Fig7Result {
 		an := weather.AnalyzeYear(top, s.Links, gen, weather.Config{
 			Days: cfg.Days, Seed: opt.Seed + int64(trial)*613,
 		})
-		res.TrialMedianP99 = append(res.TrialMedianP99, weather.Median(an.P99))
+		res.TrialMedianP99 = append(res.TrialMedianP99, netsim.Percentile(an.P99, 50))
 		if trial == 0 {
 			gen0 = gen
 			res.Analysis = an
-			res.MedianBest = weather.Median(an.Best)
-			res.MedianP99 = weather.Median(an.P99)
-			res.MedianWorst = weather.Median(an.Worst)
-			res.MedianFiber = weather.Median(an.Fiber)
+			res.MedianBest = netsim.Percentile(an.Best, 50)
+			res.MedianP99 = netsim.Percentile(an.P99, 50)
+			res.MedianWorst = netsim.Percentile(an.Worst, 50)
+			res.MedianFiber = netsim.Percentile(an.Fiber, 50)
 			nDays := float64(len(an.FailedLinksPerDay))
 			for day := range an.FailedLinksPerDay {
 				res.MeanFailedLinks += float64(an.FailedLinksPerDay[day]) / nDays

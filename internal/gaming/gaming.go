@@ -107,6 +107,9 @@ func jitteredProcess(cfg Config, rng *rand.Rand) float64 {
 	return cfg.ProcessMs * (0.9 + 0.2*rng.Float64())
 }
 
+// percentile is the order statistic at rank floor(q·(n-1)), with no
+// interpolation. It stays apart from netsim.Percentile on purpose: Fig 12's
+// P95FrameMs is defined by it.
 func percentile(v []float64, q float64) float64 {
 	s := append([]float64(nil), v...)
 	// insertion sort is fine at these sizes

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"cisp/internal/graph"
 	"cisp/internal/units"
 )
 
@@ -140,17 +141,28 @@ func InstallRoutes(nw *Network, links []TopoLink, comms []Commodity, scheme Sche
 	return paths
 }
 
+// DelayGraph returns the topology as a graph.Duplex (link i is edges 2i
+// and 2i+1) with each directed edge's propagation delay in seconds — the
+// weight of every latency-shortest-path search over it. Link ends must lie
+// in [0, n).
+func DelayGraph(n int, links []TopoLink) (*graph.Duplex, []float64) {
+	g := graph.NewDuplex(n, len(links), func(i int) (int, int) { return links[i].A, links[i].B })
+	delay := make([]float64, g.Edges())
+	for i, l := range links {
+		delay[2*i], delay[2*i+1] = float64(l.PropDelay), float64(l.PropDelay)
+	}
+	return g, delay
+}
+
 // ComputeRoutes is the pure routing core behind InstallRoutes: it computes
 // a path per commodity under the scheme without touching a Network, so the
 // packet and fluid engines can share identical paths. The returned map is
 // keyed by flow ID; unroutable commodities are omitted.
 func ComputeRoutes(n int, links []TopoLink, comms []Commodity, scheme Scheme) map[int][]int {
-	adj := make([][]halfLink, n)
-	for _, l := range links {
-		fw, bw := new(float64), new(float64)
-		adj[l.A] = append(adj[l.A], halfLink{to: l.B, delay: float64(l.PropDelay), cap: float64(l.RateBps), load: fw})
-		adj[l.B] = append(adj[l.B], halfLink{to: l.A, delay: float64(l.PropDelay), cap: float64(l.RateBps), load: bw})
-	}
+	g, delay := DelayGraph(n, links)
+	capOf := func(e int32) float64 { return float64(links[e/2].RateBps) }
+	load := make([]float64, g.Edges()) // per directed edge
+	search := graph.NewSearch(g)
 
 	order := make([]Commodity, len(comms))
 	copy(order, comms)
@@ -160,29 +172,31 @@ func ComputeRoutes(n int, links []TopoLink, comms []Commodity, scheme Scheme) ma
 
 	paths := make(map[int][]int, len(comms))
 	for _, c := range order {
-		var path []int
+		var edges []int32
 		switch scheme {
 		case ShortestPath:
-			path = dijkstraDelay(adj, c.Src, c.Dst)
+			edges, _ = search.ShortestPath(g, delay, c.Src, c.Dst)
 		case MinMaxUtilization:
-			path = minimaxPath(adj, c.Src, c.Dst, func(h halfLink) float64 {
-				return (*h.load + float64(c.Demand)) / h.cap
+			edges = minimaxPath(g, delay, c.Src, c.Dst, func(e int32) float64 {
+				return (load[e] + float64(c.Demand)) / capOf(e)
 			})
 		case ThroughputOptimal:
-			path = minimaxPath(adj, c.Src, c.Dst, func(h halfLink) float64 {
+			edges = minimaxPath(g, delay, c.Src, c.Dst, func(e int32) float64 {
 				// Maximise residual capacity == minimise its negation.
-				return -(h.cap - *h.load - float64(c.Demand))
+				return -(capOf(e) - load[e] - float64(c.Demand))
 			})
 		}
-		if path == nil {
+		if edges == nil {
 			continue
 		}
+		path := g.Nodes(c.Src, edges)
 		paths[c.Flow] = path
-		// Account the demand on each traversed half-link.
+		// Account the demand on each hop's first matching directed edge;
+		// with parallel links that need not be the edge the search took.
 		for i := 0; i+1 < len(path); i++ {
-			for k := range adj[path[i]] {
-				if adj[path[i]][k].to == path[i+1] {
-					*adj[path[i]][k].load += float64(c.Demand)
+			for _, e := range g.Out(path[i]) {
+				if g.To(e) == path[i+1] {
+					load[e] += float64(c.Demand)
 					break
 				}
 			}
@@ -191,64 +205,21 @@ func ComputeRoutes(n int, links []TopoLink, comms []Commodity, scheme Scheme) ma
 	return paths
 }
 
-// halfLink is one direction of a topology link with a shared load counter.
-type halfLink struct {
-	to    int
-	delay float64
-	cap   float64
-	load  *float64
-}
-
-// dijkstraDelay finds the minimum propagation-delay path.
-func dijkstraDelay(adj [][]halfLink, src, dst int) []int {
-	n := len(adj)
-	dist := make([]float64, n)
-	prev := make([]int, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < n; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 || u == dst {
-			break
-		}
-		done[u] = true
-		for _, h := range adj[u] {
-			if nd := dist[u] + h.delay; nd < dist[h.to] {
-				dist[h.to] = nd
-				prev[h.to] = u
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil
-	}
-	return unwind(prev, src, dst)
-}
-
-// minimaxPath finds the path minimising the maximum of cost(halfLink) over
-// its links, breaking ties by total propagation delay.
-func minimaxPath(adj [][]halfLink, src, dst int, cost func(halfLink) float64) []int {
-	n := len(adj)
+// minimaxPath finds the edge path minimising the maximum of cost(e) over
+// its edges, breaking ties by total propagation delay; nil if dst is
+// unreachable.
+func minimaxPath(g *graph.Duplex, delay []float64, src, dst int, cost func(e int32) float64) []int32 {
+	n := g.N()
 	bottleneck := make([]float64, n)
-	delay := make([]float64, n)
-	prev := make([]int, n)
+	dist := make([]float64, n)
+	prev := make([]int32, n)
 	done := make([]bool, n)
 	for i := range bottleneck {
 		bottleneck[i] = math.Inf(1)
-		delay[i] = math.Inf(1)
-		prev[i] = -1
+		dist[i] = math.Inf(1)
 	}
 	bottleneck[src] = math.Inf(-1)
-	delay[src] = 0
+	dist[src] = 0
 	for {
 		u := -1
 		bb, bd := math.Inf(1), math.Inf(1)
@@ -256,43 +227,27 @@ func minimaxPath(adj [][]halfLink, src, dst int, cost func(halfLink) float64) []
 			if done[v] {
 				continue
 			}
-			if bottleneck[v] < bb || (bottleneck[v] == bb && delay[v] < bd) {
-				u, bb, bd = v, bottleneck[v], delay[v]
+			if bottleneck[v] < bb || (bottleneck[v] == bb && dist[v] < bd) {
+				u, bb, bd = v, bottleneck[v], dist[v]
 			}
 		}
 		if u < 0 || math.IsInf(bottleneck[u], 1) || u == dst {
 			break
 		}
 		done[u] = true
-		for _, h := range adj[u] {
-			nb := math.Max(bottleneck[u], cost(h))
-			ndel := delay[u] + h.delay
-			if nb < bottleneck[h.to] || (nb == bottleneck[h.to] && ndel < delay[h.to]) {
-				bottleneck[h.to] = nb
-				delay[h.to] = ndel
-				prev[h.to] = u
+		for _, e := range g.Out(u) {
+			v := g.To(e)
+			nb := math.Max(bottleneck[u], cost(e))
+			ndel := dist[u] + delay[e]
+			if nb < bottleneck[v] || (nb == bottleneck[v] && ndel < dist[v]) {
+				bottleneck[v] = nb
+				dist[v] = ndel
+				prev[v] = e
 			}
 		}
 	}
 	if math.IsInf(bottleneck[dst], 1) {
 		return nil
 	}
-	return unwind(prev, src, dst)
-}
-
-func unwind(prev []int, src, dst int) []int {
-	var rev []int
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	return g.TracePath(prev, src, dst)
 }

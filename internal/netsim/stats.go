@@ -9,9 +9,11 @@ import (
 // linear interpolation between order statistics (sorted or not; the input
 // is not modified). NaN for an empty slice.
 //
-// This is the single percentile implementation in the codebase; every
-// integer or float percentile (queue occupancies, FCT distributions,
-// stretch tables) funnels through it.
+// Every interpolated percentile in the codebase funnels through it: queue
+// occupancies, FCT distributions, stretch tables and the weather year's
+// per-pair p99 and medians. The one deliberate exception is
+// gaming.percentile, which takes the order statistic at the floored rank
+// without interpolating; folding it in would move Fig 12's P95FrameMs.
 func Percentile(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"cisp/internal/graph"
 	"cisp/internal/netsim"
 )
 
@@ -140,6 +141,7 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 	demandTime, liveTime := 0.0, 0.0
 	stretchW, stretchSum := 0.0, 0.0
 	sweep := newDownSweep(sched)
+	search := graph.NewSearch(p.dup) // rescue searches over the up links
 	decIdx := 0
 	for bi := 0; bi+1 < len(bounds); bi++ {
 		t, next := bounds[bi], bounds[bi+1]
@@ -180,6 +182,9 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 			}
 		}
 		if rescueEval {
+			for li := range p.links {
+				search.EdgeBan[2*li], search.EdgeBan[2*li+1] = down[li], down[li]
+			}
 			for _, flow := range flows {
 				if _, have := rescues[flow]; have {
 					continue
@@ -188,8 +193,8 @@ func (p *Protection) Availability(sched *Schedule, mode Mode) Stats {
 					continue
 				}
 				c := p.commBy[flow]
-				if path, delay := p.residualShortest(c.Src, c.Dst, down); path != nil {
-					rescues[flow] = rescue{path: path, delay: delay}
+				if edges, delay := search.ShortestPath(p.dup, p.delay, c.Src, c.Dst); edges != nil {
+					rescues[flow] = rescue{path: p.dup.Nodes(c.Src, edges), delay: delay}
 					st.Reroutes++
 				}
 			}
@@ -253,64 +258,4 @@ func (p *Protection) pathDelay(path []int) float64 {
 		}
 	}
 	return d
-}
-
-// residualShortest finds the minimum-delay src→dst path over the up links,
-// or nil if the residual topology disconnects the pair.
-func (p *Protection) residualShortest(src, dst int, down []bool) ([]int, float64) {
-	type half struct {
-		to    int
-		delay float64
-	}
-	adj := make([][]half, p.nodes)
-	for li, l := range p.links {
-		if down[li] {
-			continue
-		}
-		adj[l.A] = append(adj[l.A], half{to: l.B, delay: float64(l.PropDelay)})
-		adj[l.B] = append(adj[l.B], half{to: l.A, delay: float64(l.PropDelay)})
-	}
-	dist := make([]float64, p.nodes)
-	prev := make([]int, p.nodes)
-	done := make([]bool, p.nodes)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
-	}
-	dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < p.nodes; v++ {
-			if !done[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 || u == dst {
-			break
-		}
-		done[u] = true
-		for _, h := range adj[u] {
-			if nd := dist[u] + h.delay; nd < dist[h.to] {
-				dist[h.to] = nd
-				prev[h.to] = u
-			}
-		}
-	}
-	if math.IsInf(dist[dst], 1) {
-		return nil, 0
-	}
-	var rev []int
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
-		}
-	}
-	if rev[len(rev)-1] != src {
-		return nil, 0
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev, dist[dst]
 }

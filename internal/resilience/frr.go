@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cisp/internal/graph"
 	"cisp/internal/netsim"
 	"cisp/internal/obs"
 	"cisp/internal/te"
@@ -100,13 +101,14 @@ type Protection struct {
 	Backups map[int]Backup
 
 	cfg       Config
-	nodes     int
 	links     []netsim.TopoLink
 	comms     []netsim.Commodity
 	commBy    map[int]*netsim.Commodity // by flow ID
 	primaries map[int][]netsim.SplitPath
 	shortest  map[int]float64 // clear-sky shortest-path delay per flow
 	linkIdx   map[[2]int]int  // undirected node pair -> index into links
+	dup       *graph.Duplex   // links as a graph, for rescue searches
+	delay     []float64       // per dup edge, propagation delay in seconds
 }
 
 // NewProtection builds the fast-reroute state for the commodities over the
@@ -123,7 +125,6 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 	p := &Protection{
 		Backups:   make(map[int]Backup),
 		cfg:       cfg,
-		nodes:     nodes,
 		links:     links,
 		comms:     comms,
 		commBy:    make(map[int]*netsim.Commodity, len(comms)),
@@ -141,6 +142,9 @@ func NewProtection(nodes int, links []netsim.TopoLink, comms []netsim.Commodity,
 	if err != nil {
 		return nil, err
 	}
+	// te.Candidates has range-checked the links, so the graph build cannot
+	// panic on a bad endpoint.
+	p.dup, p.delay = netsim.DelayGraph(nodes, links)
 	for i, c := range comms {
 		pool := cands[i]
 		if len(pool) == 0 {

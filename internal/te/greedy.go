@@ -10,7 +10,7 @@ import "sort"
 // then candidate order). Fully deterministic, O(C · quanta · K · pathlen),
 // and within a quantum of the water-filling optimum on each commodity's
 // candidate set.
-func waterfill(g *graph, cs []*teComm, base []float64, quanta int) [][]float64 {
+func waterfill(g *topo, cs []*teComm, base []float64, quanta int) [][]float64 {
 	load := make([]float64, len(g.edges))
 	copy(load, base)
 	order := sortByDemand(cs)

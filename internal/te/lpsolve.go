@@ -44,7 +44,7 @@ const tieEps = 1e-3
 // for free). Returns per-commodity path fractions and the solved θ.
 // Infeasibility or unboundedness indicate a formulation bug and fail
 // loudly; they never return garbage splits.
-func solveLP(g *graph, cs []*teComm, base []float64, floor, u0 float64) ([][]float64, float64, error) {
+func solveLP(g *topo, cs []*teComm, base []float64, floor, u0 float64) ([][]float64, float64, error) {
 	lpSolves.Add(1)
 	obs.Active().Counter("cisp_te_lp_solves_total").Inc()
 	nx := 0

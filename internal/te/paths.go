@@ -4,22 +4,33 @@ import (
 	"fmt"
 	"math"
 
+	"cisp/internal/graph"
 	"cisp/internal/netsim"
 	"cisp/internal/parallel"
 )
 
-// edge is one directed link of the TE graph.
+// edge is one directed link of the TE topology.
 type edge struct {
-	from, to int
-	capBps   float64 // 0 = link down (excluded from path search)
-	delay    float64 // propagation delay, seconds
+	capBps float64 // 0 = link down (excluded from path search)
+	delay  float64 // propagation delay, seconds
 }
 
-// graph is the directed TE topology: two edges per duplex TopoLink.
-type graph struct {
-	n     int
+// topo is the directed TE topology: a graph.Duplex (two edges per duplex
+// TopoLink, edge 2i = A→B) with each edge's capacity and delay, and the
+// search weight the controller keeps in step with capacity.
+type topo struct {
+	*graph.Duplex
 	edges []edge
-	adj   [][]int32 // per node, outgoing edge IDs in insertion order
+	w     []float64 // per edge: delay, or +Inf while the edge is down
+}
+
+// weight is an edge's path-search weight: a zero-capacity edge is
+// unusable.
+func (e edge) weight() float64 {
+	if e.capBps <= 0 {
+		return math.Inf(1)
+	}
+	return e.delay
 }
 
 // buildGraph converts the duplex simulation topology into the directed TE
@@ -27,29 +38,25 @@ type graph struct {
 // sequences (that is what netsim installs), so a multigraph would be
 // ambiguous — parallel capacity must be expressed through distinct nodes
 // (see experiments.DesignedTETopology's fiber midpoints).
-func buildGraph(n int, links []netsim.TopoLink) (*graph, error) {
-	g := &graph{n: n, adj: make([][]int32, n)}
+func buildGraph(n int, links []netsim.TopoLink) (*topo, error) {
+	g := &topo{edges: make([]edge, 2*len(links)), w: make([]float64, 2*len(links))}
 	seen := make(map[[2]int]bool, 2*len(links))
-	add := func(a, b int, capBps, delay float64) error {
-		if a < 0 || a >= n || b < 0 || b >= n {
-			return fmt.Errorf("te: link %d->%d outside node range [0,%d)", a, b, n)
+	for i, l := range links {
+		for _, d := range [2][2]int{{l.A, l.B}, {l.B, l.A}} {
+			a, b := d[0], d[1]
+			if a < 0 || a >= n || b < 0 || b >= n {
+				return nil, fmt.Errorf("te: link %d->%d outside node range [0,%d)", a, b, n)
+			}
+			if seen[d] {
+				return nil, fmt.Errorf("te: parallel directed link %d->%d (use a transit node for parallel capacity)", a, b)
+			}
+			seen[d] = true
 		}
-		if seen[[2]int{a, b}] {
-			return fmt.Errorf("te: parallel directed link %d->%d (use a transit node for parallel capacity)", a, b)
-		}
-		seen[[2]int{a, b}] = true
-		g.adj[a] = append(g.adj[a], int32(len(g.edges)))
-		g.edges = append(g.edges, edge{from: a, to: b, capBps: capBps, delay: delay})
-		return nil
+		e := edge{capBps: float64(l.RateBps), delay: float64(l.PropDelay)}
+		g.edges[2*i], g.edges[2*i+1] = e, e
+		g.w[2*i], g.w[2*i+1] = e.weight(), e.weight()
 	}
-	for _, l := range links {
-		if err := add(l.A, l.B, float64(l.RateBps), float64(l.PropDelay)); err != nil {
-			return nil, err
-		}
-		if err := add(l.B, l.A, float64(l.RateBps), float64(l.PropDelay)); err != nil {
-			return nil, err
-		}
-	}
+	g.Duplex = graph.NewDuplex(n, len(links), func(i int) (int, int) { return links[i].A, links[i].B })
 	return g, nil
 }
 
@@ -60,80 +67,12 @@ type Path struct {
 	edges []int32
 }
 
-func (g *graph) pathFromEdges(src int, eids []int32) Path {
-	p := Path{Nodes: make([]int, 0, len(eids)+1), edges: eids}
-	p.Nodes = append(p.Nodes, src)
+func (g *topo) pathFromEdges(src int, eids []int32) Path {
+	p := Path{Nodes: g.Nodes(src, eids), edges: eids}
 	for _, e := range eids {
 		p.Delay += g.edges[e].delay
-		p.Nodes = append(p.Nodes, g.edges[e].to)
 	}
 	return p
-}
-
-// dijkstraMasked finds the minimum-delay path src→dst as an edge-ID
-// sequence, skipping banned edges and nodes and edges with zero capacity.
-// Scratch slices are caller-owned so Yen's inner loop does not reallocate.
-type dijkstraScratch struct {
-	dist    []float64
-	prevE   []int32
-	done    []bool
-	edgeBan []bool
-	nodeBan []bool
-}
-
-func newScratch(g *graph) *dijkstraScratch {
-	return &dijkstraScratch{
-		dist:    make([]float64, g.n),
-		prevE:   make([]int32, g.n),
-		done:    make([]bool, g.n),
-		edgeBan: make([]bool, len(g.edges)),
-		nodeBan: make([]bool, g.n),
-	}
-}
-
-func (s *dijkstraScratch) run(g *graph, src, dst int) ([]int32, float64) {
-	for i := range s.dist {
-		s.dist[i] = math.Inf(1)
-		s.prevE[i] = -1
-		s.done[i] = false
-	}
-	s.dist[src] = 0
-	for {
-		u, best := -1, math.Inf(1)
-		for v := 0; v < g.n; v++ {
-			if !s.done[v] && !s.nodeBan[v] && s.dist[v] < best {
-				u, best = v, s.dist[v]
-			}
-		}
-		if u < 0 || u == dst {
-			break
-		}
-		s.done[u] = true
-		for _, ei := range g.adj[u] {
-			e := &g.edges[ei]
-			if s.edgeBan[ei] || s.nodeBan[e.to] || e.capBps <= 0 {
-				continue
-			}
-			if nd := s.dist[u] + e.delay; nd < s.dist[e.to] {
-				s.dist[e.to] = nd
-				s.prevE[e.to] = ei
-			}
-		}
-	}
-	if math.IsInf(s.dist[dst], 1) {
-		return nil, 0
-	}
-	var rev []int32
-	for v := dst; v != src; {
-		ei := s.prevE[v]
-		rev = append(rev, ei)
-		v = g.edges[ei].from
-	}
-	out := make([]int32, len(rev))
-	for i, e := range rev {
-		out[len(rev)-1-i] = e
-	}
-	return out, s.dist[dst]
 }
 
 func sameEdges(a, b []int32) bool {
@@ -152,8 +91,8 @@ func sameEdges(a, b []int32) bool {
 // algorithm) and drops any whose delay exceeds stretch × the shortest
 // path's delay — the latency-diversity cap that keeps every TE split inside
 // the paper's stretch budget.
-func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) []Path {
-	bestE, bestD := scratch.run(g, src, dst)
+func yen(g *topo, s *graph.Search, src, dst, k int, stretch float64) []Path {
+	bestE, bestD := s.ShortestPath(g.Duplex, g.w, src, dst)
 	if bestE == nil {
 		return nil
 	}
@@ -169,20 +108,20 @@ func yen(g *graph, scratch *dijkstraScratch, src, dst, k int, stretch float64) [
 			// a deviation.
 			for _, p := range A {
 				if len(p.edges) > i && sameEdges(p.edges[:i], prev.edges[:i]) {
-					scratch.edgeBan[p.edges[i]] = true
+					s.EdgeBan[p.edges[i]] = true
 				}
 			}
 			for _, v := range prev.Nodes[:i] {
-				scratch.nodeBan[v] = true
+				s.NodeBan[v] = true
 			}
-			spurE, spurD := scratch.run(g, spur, dst)
+			spurE, spurD := s.ShortestPath(g.Duplex, g.w, spur, dst)
 			for _, p := range A {
 				if len(p.edges) > i && sameEdges(p.edges[:i], prev.edges[:i]) {
-					scratch.edgeBan[p.edges[i]] = false
+					s.EdgeBan[p.edges[i]] = false
 				}
 			}
 			for _, v := range prev.Nodes[:i] {
-				scratch.nodeBan[v] = false
+				s.NodeBan[v] = false
 			}
 			if spurE == nil {
 				continue
@@ -243,9 +182,9 @@ func pathLess(a, b *Path) bool {
 // enumerate finds each commodity's candidate paths, fanned out over the
 // shared worker pool (one Yen run per commodity; results are positionally
 // stable, so the fan-out is deterministic).
-func enumerate(g *graph, comms []netsim.Commodity, cfg Config) [][]Path {
+func enumerate(g *topo, comms []netsim.Commodity, cfg Config) [][]Path {
 	return parallel.Map(len(comms), 1, func(i int) []Path {
-		return yen(g, newScratch(g), comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
+		return yen(g, graph.NewSearch(g.Duplex), comms[i].Src, comms[i].Dst, cfg.K, cfg.Stretch)
 	})
 }
 

@@ -24,6 +24,7 @@ import (
 	"math"
 	"sort"
 
+	"cisp/internal/graph"
 	"cisp/internal/netsim"
 	"cisp/internal/obs"
 	"cisp/internal/parallel"
@@ -132,7 +133,7 @@ func SolveShortest(n int, links []netsim.TopoLink, comms []netsim.Commodity) (*S
 // clear-sky topology) and the current splits.
 type Controller struct {
 	cfg    Config
-	g      *graph
+	g      *topo
 	comms  []teComm
 	sol    *Solution
 	method string
@@ -180,15 +181,8 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 	// mutation on a rejected update would desync the controller's graph
 	// from its installed splits.
 	for i, l := range links {
-		for dir := 0; dir < 2; dir++ {
-			e := &c.g.edges[2*i+dir]
-			from, to := l.A, l.B
-			if dir == 1 {
-				from, to = l.B, l.A
-			}
-			if e.from != from || e.to != to {
-				return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, e.from, e.to)
-			}
+		if a, b := c.g.From(int32(2*i)), c.g.To(int32(2*i)); a != l.A || b != l.B {
+			return nil, fmt.Errorf("te: capacity update link %d is %d-%d, controller has %d-%d", i, l.A, l.B, a, b)
 		}
 	}
 	changed := make([]bool, len(c.g.edges))
@@ -200,6 +194,7 @@ func (c *Controller) UpdateCapacities(links []netsim.TopoLink) ([]int, error) {
 				changed[2*i+dir] = true
 				anyChanged = true
 				e.capBps = float64(l.RateBps)
+				c.g.w[2*i+dir] = e.weight()
 			}
 		}
 	}
@@ -259,7 +254,7 @@ func (c *Controller) reroute(idxs []int) error {
 	// the usable subset — candidates whose every edge is up. A commodity
 	// with no usable candidate is re-enumerated on the degraded topology
 	// and keeps any new paths for later.
-	var scratch *dijkstraScratch
+	var search *graph.Search
 	usableOf := func(cm *teComm) []int {
 		var usable []int
 		for pi, p := range cm.cands {
@@ -291,10 +286,10 @@ func (c *Controller) reroute(idxs []int) error {
 		cm.fracs = nil
 		usable := usableOf(cm)
 		if len(usable) == 0 {
-			if scratch == nil {
-				scratch = newScratch(c.g)
+			if search == nil {
+				search = graph.NewSearch(c.g.Duplex)
 			}
-			for _, p := range yen(c.g, scratch, cm.src, cm.dst, c.cfg.K, c.cfg.Stretch) {
+			for _, p := range yen(c.g, search, cm.src, cm.dst, c.cfg.K, c.cfg.Stretch) {
 				dup := false
 				for _, q := range cm.cands {
 					if sameEdges(p.edges, q.edges) {
@@ -490,7 +485,7 @@ func (cm *teComm) subLoadFracs(load []float64, fracs []float64) {
 	}
 }
 
-func maxUtil(g *graph, load []float64) float64 {
+func maxUtil(g *topo, load []float64) float64 {
 	mlu := 0.0
 	for ei := range g.edges {
 		if c := g.edges[ei].capBps; c > 0 {
@@ -520,8 +515,8 @@ func MLUOf(n int, links []netsim.TopoLink, comms []netsim.Commodity, splits map[
 		return 0, err
 	}
 	idx := make(map[[2]int]int32, len(g.edges))
-	for ei, e := range g.edges {
-		idx[[2]int{e.from, e.to}] = int32(ei)
+	for ei := range g.edges {
+		idx[[2]int{g.From(int32(ei)), g.To(int32(ei))}] = int32(ei)
 	}
 	load := make([]float64, len(g.edges))
 	for _, cm := range comms {

@@ -266,28 +266,6 @@ func TestMedian(t *testing.T) {
 	}
 }
 
-func TestQuantileEdges(t *testing.T) {
-	if !math.IsNaN(quantile(nil, 0.5)) {
-		t.Fatal("quantile of empty should be NaN")
-	}
-	single := []float64{42}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if v := quantile(single, q); v != 42 {
-			t.Fatalf("quantile(%v) of single sample = %v, want 42", q, v)
-		}
-	}
-	s := []float64{1, 2, 3, 4, 5}
-	if v := quantile(s, 0); v != 1 {
-		t.Fatalf("q=0 should be the minimum, got %v", v)
-	}
-	if v := quantile(s, 1); v != 5 {
-		t.Fatalf("q=1 should be the maximum, got %v", v)
-	}
-	if v := quantile(s, 0.5); v != 3 {
-		t.Fatalf("q=0.5 = %v, want 3", v)
-	}
-}
-
 func TestCapacityFraction(t *testing.T) {
 	const m = DefaultFadeMargin
 	if f := CapacityFraction(0, m); f != 1 {
