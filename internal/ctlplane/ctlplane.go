@@ -136,7 +136,7 @@ func New(cfg Config) (*Daemon, error) {
 	if err := d.rebuild(cfg.TE, cfg.Prot); err != nil {
 		return nil, err
 	}
-	if err := d.publish(KindInitial, d.copyBase()); err != nil {
+	if err := d.publish(KindInitial, netsim.CloneSplits(d.base)); err != nil {
 		return nil, err
 	}
 	d.loopWG.Add(1)
@@ -278,7 +278,7 @@ func (d *Daemon) reoptimize(kind string) error {
 	if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 		return fmt.Errorf("ctlplane: reoptimizing: %w", err)
 	}
-	d.base = copySplits(d.ctrl.Solution().Splits)
+	d.base = netsim.CloneSplits(d.ctrl.Solution().Splits)
 	return d.publish(kind, d.prot.PatchedFrom(d.base, d.down))
 }
 
@@ -301,7 +301,7 @@ func (d *Daemon) rebuild(teCfg te.Config, protCfg resilience.Config) error {
 	if err != nil {
 		return fmt.Errorf("ctlplane: clear-sky TE solve: %w", err)
 	}
-	primaries := copySplits(ctrl.Solution().Splits)
+	primaries := netsim.CloneSplits(ctrl.Solution().Splits)
 	prot, err := resilience.NewProtection(d.nodes, d.clear, d.comms, primaries, protCfg)
 	if err != nil {
 		return fmt.Errorf("ctlplane: backup precomputation: %w", err)
@@ -323,7 +323,7 @@ func (d *Daemon) rebuild(teCfg te.Config, protCfg resilience.Config) error {
 		if _, err := d.ctrl.UpdateCapacities(d.effective()); err != nil {
 			return fmt.Errorf("ctlplane: replaying link state: %w", err)
 		}
-		d.base = copySplits(d.ctrl.Solution().Splits)
+		d.base = netsim.CloneSplits(d.ctrl.Solution().Splits)
 	}
 	d.backups = d.backups[:0]
 	flows := make([]int, 0, len(prot.Backups))
@@ -365,14 +365,4 @@ func (d *Daemon) publish(kind string, splits map[int][]netsim.SplitPath) error {
 		d.cfg.OnPublish(snap)
 	}
 	return nil
-}
-
-func (d *Daemon) copyBase() map[int][]netsim.SplitPath { return copySplits(d.base) }
-
-func copySplits(m map[int][]netsim.SplitPath) map[int][]netsim.SplitPath {
-	out := make(map[int][]netsim.SplitPath, len(m))
-	for k, v := range m {
-		out[k] = append([]netsim.SplitPath(nil), v...)
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"time"
 
 	"cisp/internal/obs"
 	"cisp/internal/resilience"
@@ -106,6 +107,17 @@ type Server struct {
 	srv *http.Server
 }
 
+// A client that stalls mid-header, or goes quiet partway into its next
+// keep-alive request, is dropped after these bounds instead of holding a
+// goroutine and a socket forever. The idle bound outlasts any benchmark
+// run, so a live client never loses its connection between requests.
+// There is deliberately no write timeout: /debug/pprof/profile streams
+// for 30 s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve starts the daemon's API on addr (":0" picks a free port) in a
 // background goroutine and returns immediately.
 func (d *Daemon) Serve(addr string, s *obs.Sink) (*Server, error) {
@@ -113,7 +125,7 @@ func (d *Daemon) Serve(addr string, s *obs.Sink) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: d.NewMux(s)}
+	srv := &http.Server{Handler: d.NewMux(s), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go srv.Serve(ln)
 	return &Server{d: d, ln: ln, srv: srv}, nil
 }

@@ -122,6 +122,17 @@ type SplitPath struct {
 	Frac float64 // fraction of the commodity's flows riding this path
 }
 
+// CloneSplits copies a split set's map and per-flow slices, so flows of
+// the copy can be replaced without touching the original. The Path
+// slices stay shared with the original.
+func CloneSplits(m map[int][]SplitPath) map[int][]SplitPath {
+	out := make(map[int][]SplitPath, len(m))
+	for k, v := range m {
+		out[k] = append([]SplitPath(nil), v...)
+	}
+	return out
+}
+
 // LinkLoad is one directed link's time-average utilization over a run.
 type LinkLoad struct {
 	From, To    int

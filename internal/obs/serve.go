@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // NewMux returns the observability HTTP handler for a sink:
@@ -62,6 +63,15 @@ type Server struct {
 	srv *http.Server
 }
 
+// A scraper that stalls mid-header, or goes quiet partway into its next
+// keep-alive request, is dropped after these bounds instead of holding a
+// goroutine and a socket forever. There is deliberately no write timeout:
+// /debug/pprof/profile streams for 30 s.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // Serve starts the observability endpoint on addr (e.g. ":9090"; ":0"
 // picks a free port) in a background goroutine and returns immediately.
 func Serve(addr string, s *Sink) (*Server, error) {
@@ -69,7 +79,7 @@ func Serve(addr string, s *Sink) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: NewMux(s)}
+	srv := &http.Server{Handler: NewMux(s), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

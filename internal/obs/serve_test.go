@@ -2,10 +2,12 @@ package obs
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -67,5 +69,34 @@ func TestServeListenAndClose(t *testing.T) {
 	}
 	if _, err := http.Get("http://" + srv.Addr() + "/healthz"); err == nil {
 		t.Error("server still answering after Close")
+	}
+}
+
+// TestServeDropsStalledHeader: a scraper that sends a request line and
+// never finishes its header is disconnected once readHeaderTimeout passes,
+// instead of holding a goroutine and a socket for good.
+func TestServeDropsStalledHeader(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout: skipped with -short")
+	}
+	srv, err := Serve("127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 20*time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stalled header: read %d bytes, err %v; want the server to close the connection", n, err)
 	}
 }

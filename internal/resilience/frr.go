@@ -389,7 +389,7 @@ func (p *Protection) Plan(sched *Schedule, mode Mode, ctrl *te.Controller) (*Pla
 			if _, err := ctrl.UpdateCapacities(graded); err != nil {
 				return nil, fmt.Errorf("resilience: reoptimizing at t=%.3f: %w", t, err)
 			}
-			decisions = append(decisions, decision{t: t + p.cfg.ReoptDelay, swap: copySplits(ctrl.Solution().Splits)})
+			decisions = append(decisions, decision{t: t + p.cfg.ReoptDelay, swap: netsim.CloneSplits(ctrl.Solution().Splits)})
 		}
 	}
 	sort.SliceStable(decisions, func(a, b int) bool { return decisions[a].t < decisions[b].t })
@@ -449,14 +449,6 @@ func gradedLinks(links []netsim.TopoLink, down []bool) []netsim.TopoLink {
 		if down[li] {
 			out[li].RateBps = 0
 		}
-	}
-	return out
-}
-
-func copySplits(m map[int][]netsim.SplitPath) map[int][]netsim.SplitPath {
-	out := make(map[int][]netsim.SplitPath, len(m))
-	for k, v := range m {
-		out[k] = append([]netsim.SplitPath(nil), v...)
 	}
 	return out
 }
